@@ -64,17 +64,15 @@ bench:
 	go run ./cmd/bench -o BENCH_baseline.json
 
 ## bench-gate re-measures the same workloads against the committed
-## BENCH_pr9.json and fails when any workload's allocs/run
+## BENCH_pr10.json and fails when any workload's allocs/run
 ## regressed more than TOLERANCE percent, or its ns/run more than
 ## LAT_TOLERANCE percent on both the mean and the median (allocation
 ## counts are deterministic; wall clock on shared runners is not). The
-## fresh measurement is written to BENCH_pr10.json for artifact upload.
-## Workloads new since the comparison baseline (E20-timeline) are
-## recorded but not gated.
+## fresh measurement is written to BENCH_pr12.json for artifact upload.
 TOLERANCE ?= 10
 LAT_TOLERANCE ?= 25
 bench-gate:
-	go run ./cmd/bench -o BENCH_pr10.json -compare BENCH_pr9.json -tolerance $(TOLERANCE) -latency-tolerance $(LAT_TOLERANCE)
+	go run ./cmd/bench -o BENCH_pr12.json -compare BENCH_pr10.json -tolerance $(TOLERANCE) -latency-tolerance $(LAT_TOLERANCE)
 
 ## microbench runs the go-test paper-reproduction benchmarks once each
 ## (shape regeneration, not timing).
@@ -88,13 +86,15 @@ microbench-hot:
 	go test -bench=. -benchmem -run=^$$ ./internal/message ./internal/phy ./internal/mac
 
 ## fuzz-smoke runs each message-codec and world-handoff-codec fuzz
-## target briefly.
+## target briefly, and the differential fuzz of the verification memo
+## against a memo-free reference verifier.
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeBeacon -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeManeuver -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeMembership -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeWorldFrame -fuzztime=10s ./internal/world
 	go test -run=^$$ -fuzz=FuzzDecodeWorldMigration -fuzztime=10s ./internal/world
+	go test -run=^$$ -fuzz=FuzzVerify -fuzztime=10s ./internal/security
 
 ## docs regenerates every generated document in one step: the rendered
 ## paper tables (docs_tables_output.txt) and the attack/defense

@@ -201,7 +201,7 @@ func run(args []string) (err error) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "  %-22s %d\n", name, rep.Telemetry.Counters[name])
+			fmt.Fprintf(os.Stderr, "  %-31s %d\n", name, rep.Telemetry.Counters[name])
 		}
 	}
 	return nil

@@ -340,7 +340,7 @@ func printCounters(header string, counters map[string]uint64) {
 	}
 	fmt.Println(header)
 	for _, name := range sortedKeys(counters) {
-		fmt.Printf("    %-22s %d\n", name, counters[name])
+		fmt.Printf("    %-31s %d\n", name, counters[name])
 	}
 }
 

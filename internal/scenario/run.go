@@ -863,6 +863,7 @@ func (w *world) collect() *Result {
 	}
 	r.EventsFired = w.k.EventsFired()
 	if w.rec != nil {
+		w.ca.Counters().Publish(w.rec.Metrics())
 		r.Obs = w.rec.Snapshot()
 	}
 	if w.spans != nil {

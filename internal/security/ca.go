@@ -39,10 +39,9 @@ type Certificate struct {
 	CASig     []byte
 }
 
-// tbs returns the to-be-signed encoding of the certificate.
-func (c *Certificate) tbs() []byte {
-	//platoonvet:alloc-ok to-be-signed bytes are rebuilt per certificate check, which two ed25519 verifications already dominate
-	buf := make([]byte, 0, 4+4+ed25519.PublicKeySize+16)
+// appendTBS appends the to-be-signed encoding of the certificate to
+// buf.
+func (c *Certificate) appendTBS(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, c.Serial)
 	buf = binary.LittleEndian.AppendUint32(buf, c.VehicleID)
 	buf = append(buf, c.PublicKey...)
@@ -52,6 +51,10 @@ func (c *Certificate) tbs() []byte {
 }
 
 // CA is the trusted authority issuing and revoking vehicle certificates.
+// It also owns the verification memo that its certificate checks and
+// every Verifier trusting it share (see sigMemo), and it counts the
+// security work done under it (see Counters). A CA is not safe for
+// concurrent use; each simulated run builds its own.
 type CA struct {
 	pub        ed25519.PublicKey
 	priv       ed25519.PrivateKey
@@ -59,6 +62,8 @@ type CA struct {
 	issued     map[uint32]*Certificate
 	revoked    map[uint32]bool
 	byVehicle  map[uint32][]uint32 // vehicleID → serials
+	memo       sigMemo
+	counts     Counters // the work of the CA, its identities and its verifiers
 }
 
 // NewCA creates a CA whose root key derives deterministically from rng.
@@ -96,10 +101,11 @@ func (ca *CA) Issue(vehicleID uint32, notBefore, notAfter sim.Time, rng *sim.Str
 		NotAfter:  notAfter,
 	}
 	ca.nextSerial++
-	cert.CASig = ed25519.Sign(ca.priv, cert.tbs())
+	cert.CASig = ed25519.Sign(ca.priv, cert.appendTBS(nil))
+	ca.counts.Sign++
 	ca.issued[cert.Serial] = cert
 	ca.byVehicle[vehicleID] = append(ca.byVehicle[vehicleID], cert.Serial)
-	return &Identity{Cert: cert, priv: priv}, nil
+	return &Identity{Cert: cert, priv: priv, ca: ca}, nil
 }
 
 // RevokeVehicle revokes every certificate issued to a vehicle — the
@@ -134,21 +140,39 @@ func (ca *CA) Lookup(serial uint32) (*Certificate, error) {
 }
 
 // Verify checks a certificate chain: CA signature, validity at time now,
-// and revocation status.
+// and revocation status. The signature check consults the memo; the
+// validity and revocation checks run on every call, so a certificate
+// that expires or is revoked after a memo hit is still rejected.
 func (ca *CA) Verify(c *Certificate, now sim.Time) error {
-	if !ed25519.Verify(ca.pub, c.tbs(), c.CASig) {
+	ca.memo.tbs = c.appendTBS(ca.memo.tbs[:0])
+	ok, hit := ca.memo.verify(ca.pub, ca.memo.tbs, c.CASig)
+	if hit {
+		ca.counts.CertMemoHit++
+	} else {
+		ca.counts.Verify++
+	}
+	if !ok {
+		ca.counts.Reject[RejectBadCert]++
 		return ErrBadCertSignature
 	}
 	if now < c.NotBefore || now > c.NotAfter {
+		ca.counts.Reject[RejectExpired]++
 		//platoonvet:alloc-ok error path: expiry rejections are the exception, not steady state
 		return fmt.Errorf("%w: now=%v window=[%v,%v]", ErrCertExpired, now, c.NotBefore, c.NotAfter)
 	}
 	if ca.revoked[c.Serial] {
+		ca.counts.Reject[RejectRevoked]++
 		//platoonvet:alloc-ok error path: revocation rejections are the exception, not steady state
 		return fmt.Errorf("%w: serial %d", ErrCertRevoked, c.Serial)
 	}
 	return nil
 }
+
+// Counters returns the security work done under this CA: its own
+// certificate issuance and checks, every signature made with an
+// identity it issued, and the envelope checks of every Verifier
+// trusting it.
+func (ca *CA) Counters() Counters { return ca.counts }
 
 // Identity is a vehicle's key material: certificate plus private key.
 // Stealing an Identity is exactly the impersonation precondition the
@@ -157,10 +181,14 @@ func (ca *CA) Verify(c *Certificate, now sim.Time) error {
 type Identity struct {
 	Cert *Certificate
 	priv ed25519.PrivateKey
+	ca   *CA // the issuer, which counts the identity's signatures
 }
 
 // Sign signs msg with the identity's private key.
-func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
+func (id *Identity) Sign(msg []byte) []byte {
+	id.ca.counts.Sign++
+	return ed25519.Sign(id.priv, msg)
+}
 
 // Clone returns a copy of the identity — the attacker's stolen-ID
 // operation. It exists so attack code states its intent explicitly.
@@ -168,5 +196,5 @@ func (id *Identity) Clone() *Identity {
 	privCopy := make(ed25519.PrivateKey, len(id.priv))
 	copy(privCopy, id.priv)
 	certCopy := *id.Cert
-	return &Identity{Cert: &certCopy, priv: privCopy}
+	return &Identity{Cert: &certCopy, priv: privCopy, ca: id.ca}
 }

@@ -1,7 +1,6 @@
 package security
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 
@@ -60,7 +59,8 @@ func (s *Signer) SealAs(senderID uint32, payload []byte) *message.Envelope {
 // Verifier validates incoming envelopes against the CA and a replay
 // guard. The zero value is not usable; construct with NewVerifier.
 // A Verifier is not safe for concurrent use (sigBuf is per-frame
-// scratch); each simulated world builds its own.
+// scratch, and it shares its CA's memo and counters); each simulated
+// world builds its own.
 type Verifier struct {
 	ca     *CA
 	replay *ReplayGuard
@@ -69,7 +69,8 @@ type Verifier struct {
 
 // NewVerifier returns a verifier trusting ca. replay may be nil to skip
 // freshness checking (the paper's baseline "keys without timestamps"
-// configuration, which replay attacks then beat).
+// configuration, which replay attacks then beat). The verifier shares
+// ca's verification memo and counts its work in ca.Counters.
 func NewVerifier(ca *CA, replay *ReplayGuard) *Verifier {
 	return &Verifier{ca: ca, replay: replay}
 }
@@ -78,33 +79,49 @@ func NewVerifier(ca *CA, replay *ReplayGuard) *Verifier {
 // sender binding, and (if a replay guard is installed) freshness of the
 // embedded timestamp. It returns the verified certificate.
 //
+// Both signature checks consult the CA's memo of successful
+// verifications, so the receivers of one broadcast run ed25519.Verify
+// once between them. Everything else runs on every call: a replayed
+// frame hits the memo and is still rejected by the replay guard.
+//
 //platoonvet:hotpath -- runs per received frame on verifying agents
 //platoonvet:sanitizer -- certificate chain + signature + sender binding + freshness: the trust boundary of §VI-A
 func (v *Verifier) Verify(e *message.Envelope, now sim.Time) (*Certificate, error) {
 	if len(e.Sig) == 0 {
+		v.ca.counts.Reject[RejectBadSig]++
 		return nil, ErrUnsigned
 	}
 	cert, err := v.ca.Lookup(e.CertSerial)
 	if err != nil {
+		v.ca.counts.Reject[RejectBadCert]++
 		return nil, err
 	}
 	if err := v.ca.Verify(cert, now); err != nil {
 		return nil, err
 	}
 	if cert.VehicleID != e.SenderID {
+		v.ca.counts.Reject[RejectSenderMismatch]++
 		//platoonvet:alloc-ok error path: sender mismatch occurs only under impersonation attack
 		return nil, fmt.Errorf("%w: claimed %d, cert %d", ErrSenderMismatch, e.SenderID, cert.VehicleID)
 	}
 	v.sigBuf = e.AppendSignedBytes(v.sigBuf[:0])
-	if !ed25519.Verify(cert.PublicKey, v.sigBuf, e.Sig) {
+	ok, hit := v.ca.memo.verify(cert.PublicKey, v.sigBuf, e.Sig)
+	if hit {
+		v.ca.counts.VerifyMemoHit++
+	} else {
+		v.ca.counts.Verify++
+	}
+	if !ok {
+		v.ca.counts.Reject[RejectBadSig]++
 		return nil, ErrBadSignature
 	}
 	if v.replay != nil {
 		ts, seq, err := extractFreshness(e.Payload)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = v.replay.Check(e.SenderID, seq, ts, now)
 		}
-		if err := v.replay.Check(e.SenderID, seq, ts, now); err != nil {
+		if err != nil {
+			v.ca.counts.Reject[RejectReplay]++
 			return nil, err
 		}
 	}

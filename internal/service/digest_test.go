@@ -162,6 +162,10 @@ func TestNormalizeRejections(t *testing.T) {
 		"world with joiner":       {WithJoiner: true, World: &WorldRequest{}},
 		"world epoch > duration":  {DurationSec: 0.05, World: &WorldRequest{EpochMS: 100}},
 		"world too many members":  {World: &WorldRequest{VehiclesPerPlatoon: 5000}},
+		"duration overflows":      {DurationSec: 1e10},
+		"attack start overflows":  {Attack: "replay", AttackStartSec: 1e300, DurationSec: 1},
+		"joiner time overflows":   {WithJoiner: true, JoinerAtSec: 1e19},
+		"world epoch overflows":   {DurationSec: 1e9, World: &WorldRequest{EpochMS: 1e19}},
 	}
 	for name, r := range bad {
 		if err := r.Normalize(); err == nil {

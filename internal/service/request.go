@@ -136,11 +136,17 @@ func (r *RunRequest) Normalize() error {
 	if r.DurationSec <= 0 {
 		return fmt.Errorf("duration_sec must be positive, got %g", r.DurationSec)
 	}
+	if err := checkSeconds("duration_sec", r.DurationSec); err != nil {
+		return err
+	}
 	if r.AttackStartSec == 0 {
 		r.AttackStartSec = 10
 	}
 	if r.AttackStartSec < 0 {
 		return fmt.Errorf("attack_start_sec must be non-negative, got %g", r.AttackStartSec)
+	}
+	if err := checkSeconds("attack_start_sec", r.AttackStartSec); err != nil {
+		return err
 	}
 
 	if r.World != nil {
@@ -171,12 +177,26 @@ func (r *RunRequest) Normalize() error {
 		if r.JoinerAtSec < 0 {
 			return fmt.Errorf("joiner_at_sec must be non-negative, got %g", r.JoinerAtSec)
 		}
+		if err := checkSeconds("joiner_at_sec", r.JoinerAtSec); err != nil {
+			return err
+		}
 	} else if r.JoinerAtSec != 0 {
 		return fmt.Errorf("joiner_at_sec needs with_joiner")
 	}
 
 	if err := r.normalizeAttackKnobs(r.Attack); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkSeconds rejects a time field whose nanoseconds do not fit the
+// simulated clock: converted unchecked it would wrap to a negative or
+// nonsense time (a 500 from the run, or a cached run of an experiment
+// nobody asked for).
+func checkSeconds(field string, sec float64) error {
+	if _, ok := sim.FromSecondsChecked(sec); !ok {
+		return fmt.Errorf("%s is out of range: the simulated clock spans at most about 292 years", field)
 	}
 	return nil
 }
@@ -260,6 +280,9 @@ func (r *RunRequest) normalizeWorld() error {
 	}
 	if w.EpochMS <= 0 {
 		return fmt.Errorf("world.epoch_ms must be positive, got %g", w.EpochMS)
+	}
+	if err := checkSeconds("world.epoch_ms", w.EpochMS/1000); err != nil {
+		return err
 	}
 	if r.DurationSec*1000 < w.EpochMS {
 		return fmt.Errorf("duration_sec %g must cover at least one epoch of %g ms", r.DurationSec, w.EpochMS)

@@ -445,6 +445,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOverflowingTimesRejected pins two requests whose seconds
+// overflow the simulated clock: the first used to wrap to a negative
+// duration and answer 500 run_failed, the second to wrap its attack
+// start to MinInt64, answer 200 and cache the run. Both are 400s now,
+// and neither runs nor enters the cache.
+func TestOverflowingTimesRejected(t *testing.T) {
+	srv, ts, _ := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"duration_sec":1e10}`,
+		`{"attack":"replay","attack_start_sec":1e300,"duration_sec":1}`,
+	} {
+		resp, b := postRun(t, ts, body)
+		if resp.StatusCode != 400 || !strings.Contains(string(b), `"bad_request"`) || !strings.Contains(string(b), "out of range") {
+			t.Errorf("%s: status %d (%s), want 400 bad_request out of range", body, resp.StatusCode, b)
+		}
+	}
+	snap := srv.Snapshot()
+	if got := snap.Counters["service.runs_executed"]; got != 0 {
+		t.Errorf("overflowing requests executed %d runs", got)
+	}
+	if got := snap.Counters["service.cache_misses"]; got != 0 {
+		t.Errorf("overflowing requests reached the cache: %d misses", got)
+	}
+}
+
 // TestWorldRunOverHTTP: a world request runs and serves world-result
 // JSON.
 func TestWorldRunOverHTTP(t *testing.T) {

@@ -45,6 +45,18 @@ func FromSeconds(s float64) Time {
 	return Time(s * float64(Second))
 }
 
+// FromSecondsChecked converts floating-point seconds to a Time,
+// reporting ok false when s is not finite or its nanoseconds do not
+// fit in a Time (beyond about ±292 years), where FromSeconds would
+// silently wrap.
+func FromSecondsChecked(s float64) (t Time, ok bool) {
+	ns := s * float64(Second)
+	if math.IsNaN(ns) || ns < -0x1p63 || ns >= 0x1p63 {
+		return 0, false
+	}
+	return Time(ns), true
+}
+
 // FromDuration converts a time.Duration to a Time.
 func FromDuration(d time.Duration) Time { return Time(d) }
 

@@ -39,6 +39,34 @@ func TestFromSecondsPathological(t *testing.T) {
 	}
 }
 
+func TestFromSecondsChecked(t *testing.T) {
+	for _, tc := range []struct {
+		sec  float64
+		want Time
+		ok   bool
+	}{
+		{0, 0, true},
+		{1.5, 1500 * Millisecond, true},
+		{-2, -2 * Second, true},
+		{9e9, 9e9 * Second, true},
+		{1e10, 0, false},  // 1e19 ns: FromSeconds wraps it negative
+		{-1e10, 0, false}, // below the most negative Time
+		{1e300, 0, false}, // FromSeconds wraps it to MinInt64
+		{0x1p63 / 1e9, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+	} {
+		got, ok := FromSecondsChecked(tc.sec)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("FromSecondsChecked(%g) = %v, %v; want %v, %v", tc.sec, got, ok, tc.want, tc.ok)
+		}
+		if ok && got != FromSeconds(tc.sec) {
+			t.Errorf("FromSecondsChecked(%g) = %v, FromSeconds = %v", tc.sec, got, FromSeconds(tc.sec))
+		}
+	}
+}
+
 func TestFromDuration(t *testing.T) {
 	if got := FromDuration(1500 * time.Millisecond); got != 1500*Millisecond {
 		t.Fatalf("FromDuration = %v", got)
